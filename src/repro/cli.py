@@ -208,9 +208,14 @@ def cmd_trace(args) -> int:
           f"{machine.trace.cycles} cycles")
     print(f"fast engine {'engaged' if stats.engaged else 'stood down'}: "
           f"{stats.lockstep_cycles} lockstep + {stats.divergent_cycles} "
-          f"divergent + {stats.sleep_cycles} sleep cycles on fast paths")
+          f"divergent + {stats.sleep_cycles} sleep cycles on fast paths, "
+          f"{machine.trace.cycles - stats.fast_cycles} stepped by the "
+          "reference")
     print(f"  superblocks: {stats.fused_cycles} cycles fused over "
           f"{stats.fused_blocks} blocks, {stats.deopt_count} deopts")
+    print(f"  predication: {stats.pred_cycles} cycles over "
+          f"{stats.pred_blocks} predicated blocks, {stats.pred_aborts} "
+          "bursts with arm disagreement")
     print(f"  memory fusion: {stats.mem_fused_ops} LD/ST fused inside "
           f"{stats.mem_fused_blocks} blocks, {stats.term_guard} guard "
           f"deopts")

@@ -32,11 +32,12 @@ pending IRQ/sync/memory work, horizon clearance); any guard failure
 broadcast is off), the reference serializes fetches through per-bank
 rotating arbitration: one winner group per cycle, everyone else stalls.
 That regime is just as invariant as lockstep while nothing external is
-pending, so :meth:`FastEngine._divergent_burst` replays the I-Xbar
-arbitration cycle by cycle — winner pick, broadcast group, priority
-rotation, conflict/stall accounting — without the reference path's
-per-cycle scans.  This is what keeps fully-divergent workloads (SQRT32)
-*faster* than pure stepping instead of at parity.
+pending, so :meth:`FastEngine._divergent_burst` replays it without the
+reference path's per-cycle scans: the winners follow a static
+round-robin schedule, the broadcast groups live in a pc -> cores index,
+and a lone requester's LD/ST is served inline.  On ECG input, where the
+kernels' data-dependent branches pull the cores apart, most simulated
+cycles run here.
 
 **Merged-barrier replay** — a lockstep ``SINC``/``SDEC`` collapses, in
 the reference, to one merged two-cycle checkpoint read-modify-write
@@ -53,6 +54,11 @@ or a scheduled interrupt can change machine state, the engine jumps
 ``trace.cycles`` straight to the cycle before the next event and
 bulk-credits the sleep/halt counters, instead of ticking the idle
 platform one cycle at a time.
+
+**Barrier wake-ups** — a release latches the woken cores for the next
+cycle.  ``step()`` applies latched wake-ups before anything else in a
+cycle, so the engine applies them itself and simulates that cycle in a
+burst instead of handing it to the reference.
 
 All paths are cycle-exact: every counter in the
 :class:`~repro.platform.trace.ActivityTrace`, every register and every
@@ -117,7 +123,8 @@ class EngineStats:
     #: multi-bank PC.  The abandoned cycle is replayed by the reference
     #: ``step()`` (or, for a lockstep checkpoint RMW, by the barrier
     #: fast path).  Burst endings that need no fallback (horizon,
-    #: convergence, divergence) are not deopts.
+    #: convergence, divergence) are not deopts, and neither is a
+    #: hammock disagreement (see ``pred_aborts``).
     deopt_count: int = 0
     #: executions of fused blocks containing inlined memory ops, and
     #: the fused LD/STs those executions served (per block execution,
@@ -144,8 +151,10 @@ class EngineStats:
     #: path's cycle cost, and the cycles those executions consumed
     pred_blocks: int = 0
     pred_cycles: int = 0
-    #: predicated executions rolled back because the cores disagreed on
-    #: which arms they took (replayed per-instruction — a deopt)
+    #: lockstep bursts in which the cores disagreed on a predicated
+    #: block's arms: nothing was committed, and the burst went on per
+    #: instruction, without predicated blocks, to the diverging branch
+    #: (at most one per burst; not a deopt)
     pred_aborts: int = 0
     #: merged lockstep SINC/SDEC read-modify-writes replayed by the
     #: fast path (two cycles each) instead of the reference ``step()``
@@ -274,16 +283,28 @@ class FastEngine:
         """Consume as many cycles as the fast paths allow (maybe none)."""
         machine = self._machine
         cores = machine.cores
+        wake_next = machine._wake_next
         while True:
+            if machine.trace.cycles >= limit:
+                return
+            if wake_next:
+                # Barrier wake-ups latched last cycle: step() applies
+                # them first thing in a cycle, before any IRQ or timer
+                # work, so the engine can apply them the same way and
+                # simulate the cycle itself.
+                barrier_sleeper = machine._barrier_sleeper
+                for cid in wake_next:
+                    core = cores[cid]
+                    if core.mode is CoreMode.SLEEPING:
+                        core.mode = CoreMode.RUNNING
+                    barrier_sleeper[cid] = False
+                wake_next.clear()
             # Preconditions shared by both fast paths: nothing in flight
             # anywhere but the cores themselves.
-            if (machine._outstanding_count or machine._pending_irq_count
-                    or machine._wake_next):
+            if machine._outstanding_count or machine._pending_irq_count:
                 return
             sync = machine.synchronizer
             if sync is not None and sync.busy:
-                return
-            if machine.trace.cycles >= limit:
                 return
             running = [c for c in cores if c.mode is CoreMode.RUNNING]
             if not running:
@@ -419,6 +440,11 @@ class FastEngine:
         if single is not None and not machine.config.im_broadcast:
             banks = set()
             bank_words = machine.config.im_bank_words
+        # Predicated blocks are off when bank rotations are replayed
+        # (the replay assumes a block fetches one contiguous PC run)
+        # and, once lockstep cores disagree on a hammock's arm, for the
+        # rest of the burst.
+        preds_ok = banks is None
         while cycles < horizon:
             if pc >= im_len:
                 deopt = True          # let step() raise the fetch error
@@ -428,7 +454,7 @@ class FastEngine:
                 blk = block_at(pc)
             if (blk is not None and cycles + blk[1] <= horizon
                     and (mem_ok or not blk[5])
-                    and (banks is None or not blk[8])):
+                    and (preds_ok or not blk[8])):
                 run = blk[0]
                 length = blk[1]
                 end_kind = blk[2]
@@ -457,7 +483,10 @@ class FastEngine:
                         # Lockstep cores must take the same arms, or
                         # the block-granular cycle accounting (and the
                         # op-major store order) no longer matches the
-                        # reference; disagreement replays per-core.
+                        # reference.  On disagreement nothing has been
+                        # committed: the burst carries on per
+                        # instruction up to the diverging branch, which
+                        # hands over to the divergent burst.
                         hp = outs[0][blk[10]]
                         if n > 1:
                             for out in outs:
@@ -466,8 +495,8 @@ class FastEngine:
                                     break
                             if hp < 0:
                                 self.stats.pred_aborts += 1
-                                deopt = True
-                                break
+                                preds_ok = False
+                                continue
                         length = outs[0][blk[11]]
                     if n > 1 and memspec and not self._mem_guard(
                             memspec, outs, n, gates, hp):
@@ -908,8 +937,19 @@ class FastEngine:
         broadcast is disabled): the bank's rotating priority picks one
         winner, the broadcast group sharing the winner's address (just
         the winner without broadcast) fetches and executes, everyone
-        else stalls, and the priority rotates past the winner.  Memory
-        winners are served inline through :meth:`_mem_cycle`.
+        else stalls, and the priority rotates past the winner.
+
+        Nothing inside the burst changes the running set (mode changes
+        deopt) or the IM bank (leaving it ends the burst), and every
+        committed cycle rotates the bank's priority to winner + 1.  The
+        winners therefore follow a **static schedule** — the running
+        cores round-robin in coreid order, starting at the first core
+        at or after the bank's priority — which the burst walks by
+        index, writing the priority back once at exit.  Broadcast
+        groups live in a pc -> cores index updated only for the cores
+        that moved.  A lone requester's LD/ST cannot lose its D-Xbar
+        bank and is served inline; a multi-core group's goes through
+        :meth:`_mem_cycle`.
 
         Deopts to ``step()`` — committing nothing for that cycle — when
         the winner would stop/sync/fault, when a served memory pattern
@@ -935,37 +975,51 @@ class FastEngine:
             if core.pc // bank_words != bank:
                 self.stats.deopt_count += 1
                 return False
+        ncores = config.num_cores
+        n = len(running)
+        # `running` is in coreid order: the first winner is the first
+        # core at or after the bank's priority, wrapping to the lowest.
+        start = machine.ixbar._priority[bank]
+        turn = 0
+        for index, core in enumerate(running):
+            if core.coreid >= start:
+                turn = index
+                break
+        groups: dict | None = None
+        if config.im_broadcast:
+            groups = {}
+            for core in running:
+                group = groups.get(core.pc)
+                if group is None:
+                    groups[core.pc] = [core]
+                else:
+                    group.append(core)
         dxbar = machine.dxbar
         mem_ok = not (dxbar.locked_addresses or dxbar._groups)
-        broadcast = config.im_broadcast
-        ncores = config.num_cores
-        priority = machine.ixbar._priority
-        n = len(running)
-        executed = 0
+        words = machine.dm.words
+        n_words = len(words)
+        dm_priority = dxbar._priority
+        interleaved = config.dm_interleaved
+        nb = config.dm_banks
+        bw = config.dm_bank_words
+        dm_reads = dm_writes = 0
         served_total = 0
-        conflicts = 0
-        histogram: dict[int, int] = {}
-        retired: dict[int, int] = {}
+        histogram = [0] * (n + 1)
+        retired = [0] * ncores
         deopt = False
         while cycles < horizon:
-            start = priority[bank]
-            winner = running[0]
-            best = (winner.coreid - start) % ncores
-            for core in running:
-                key = (core.coreid - start) % ncores
-                if key < best:
-                    winner = core
-                    best = key
+            winner = running[turn]
             wpc = winner.pc
             if wpc >= im_len:
                 deopt = True          # let step() raise the fetch error
                 break
-            if broadcast:
-                served = [c for c in running if c.pc == wpc]
-                if len(served) == n:
-                    break             # converged: lockstep burst's regime
+            if groups is None:
+                served = (winner,)
             else:
-                served = [winner]
+                if len(groups) == 1:
+                    break             # converged: lockstep burst's regime
+                served = groups[wpc]
+            ns = len(served)
             rec = decoded[wpc]
             kind = rec[0]
             if kind <= BURSTABLE:
@@ -973,52 +1027,83 @@ class FastEngine:
                 for core in served:
                     run(core)
             elif kind == KIND_MEM and mem_ok:
-                if not self._mem_cycle(served, rec[1]):
+                if ns == 1:
+                    # A lone request always wins its D-Xbar bank.
+                    is_write, rs, imm, rd = rec[1]
+                    regs = winner.regs
+                    addr = (regs[rs] + imm) & 0xFFFF
+                    if addr >= n_words:
+                        deopt = True  # out of range: step() faults
+                        break
+                    dm_priority[addr % nb if interleaved else addr // bw] \
+                        = (winner.coreid + 1) % ncores
+                    if is_write:
+                        words[addr] = regs[rd] & 0xFFFF
+                        dm_writes += 1
+                    else:
+                        regs[rd] = words[addr]
+                        dm_reads += 1
+                    winner.pc = wpc + 1
+                elif not self._mem_cycle(served, rec[1]):
                     deopt = True      # possible D-Xbar conflict
                     break
             else:
                 deopt = True          # synchronizer / mode change
                 break
-            # Commit this cycle's arbitration bookkeeping (all guard
-            # checks passed — nothing above mutated state before here
-            # except the instruction effects themselves).
-            priority[bank] = (winner.coreid + 1) % ncores
-            ns = len(served)
-            served_total += ns
-            if ns < n:
-                conflicts += 1
-            histogram[ns] = histogram.get(ns, 0) + 1
-            for core in served:
-                cid = core.coreid
-                retired[cid] = retired.get(cid, 0) + 1
+            # Commit the cycle: advance the schedule and re-index the
+            # served cores under their new PCs.
             cycles += 1
-            executed += 1
+            served_total += ns
+            histogram[ns] += 1
+            turn += 1
+            if turn == n:
+                turn = 0
+            if groups is not None:
+                del groups[wpc]
             moved = False
             for core in served:
-                if core.pc // bank_words != bank:
+                retired[core.coreid] += 1
+                pc = core.pc
+                if groups is not None:
+                    group = groups.get(pc)
+                    if group is None:
+                        groups[pc] = [core]
+                    else:
+                        group.append(core)
+                if pc // bank_words != bank:
                     moved = True
-                    break
             if moved:
                 break                 # next fetch is in another bank
         if deopt:
             self.stats.deopt_count += 1
+        executed = cycles - trace.cycles
         if not executed:
             return False
 
+        machine.ixbar._priority[bank] = \
+            (running[turn - 1].coreid + 1) % ncores
         halted, sleeping, waiting = self._idle_census()
         trace.cycles = cycles
         trace.core_active_cycles += served_total
         trace.core_stall_cycles += executed * n - served_total
         trace.retired_ops += served_total
         retired_per_core = trace.retired_per_core
-        for cid, count in retired.items():
-            retired_per_core[cid] += count
+        for cid, count in enumerate(retired):
+            if count:
+                retired_per_core[cid] += count
         trace.im_bank_accesses += executed
         trace.im_fetches_served += served_total
-        trace.im_conflict_cycles += conflicts
+        # n >= 2 and the group never spans every running core (that is
+        # convergence), so every divergent cycle stalls someone
+        trace.im_conflict_cycles += executed
         trace_histogram = trace.lockstep_histogram
-        for size, count in histogram.items():
-            trace_histogram[size] = trace_histogram.get(size, 0) + count
+        for size, count in enumerate(histogram):
+            if count:
+                trace_histogram[size] = trace_histogram.get(size, 0) + count
+        if dm_reads or dm_writes:
+            trace.dm_bank_reads += dm_reads
+            trace.dm_bank_writes += dm_writes
+            trace.dm_served += dm_reads + dm_writes
         if halted:
             trace.core_halted_cycles += executed * halted
         if sleeping:

@@ -304,8 +304,9 @@ def summarize_manifest(path) -> str:
             if totals.get("fast_cycles"):
                 lines.append(
                     f"  fast engine: {totals['fast_cycles']} fast cycles, "
-                    f"{totals['fused_cycles']} fused over "
-                    f"{totals['fused_blocks']} superblocks, "
+                    f"{totals['cycles'] - totals['fast_cycles']} stepped "
+                    f"by the reference, {totals['fused_cycles']} fused "
+                    f"over {totals['fused_blocks']} superblocks, "
                     f"{totals['deopt_count']} deopts")
             if totals.get("mem_fused_blocks"):
                 lines.append(

@@ -26,6 +26,15 @@ class TestInstrumentedCommands:
         assert text.startswith("$comment")
         assert "core7_pc" in text
 
+    def test_trace_prints_path_mix(self, tmp_path, capsys):
+        target = str(tmp_path / "trace.json")
+        assert main(["trace", "MRPFLTR", "--samples", "16",
+                     "--out", target]) == 0
+        out = capsys.readouterr().out
+        assert "stepped by the reference" in out
+        assert "predicated blocks" in out
+        assert "bursts with arm disagreement" in out
+
     def test_syncstats(self, capsys):
         assert main(["syncstats", "SQRT32", "--samples", N]) == 0
         out = capsys.readouterr().out

@@ -7,17 +7,27 @@ and once with ``fast_engine=False`` forcing the reference per-cycle
 every :class:`~repro.platform.trace.ActivityTrace` counter, every
 register, flag, PC and mode of every core, and every data-memory word.
 
+Every arbiter's rotating priority, the barrier-sleeper flags and the
+synchronizer's per-checkpoint statistics must match too: the fast paths
+write some of that state only at burst exit, and a wrong final rotation
+would otherwise surface only if a later arbitration happened to differ.
+
 Coverage: the three Fig. 3 kernels under six platform configurations
-(the four designs plus a 4-core machine and a broadcast-less ablation),
-interrupt-driven streaming with a periodic timer, scheduled one-shot
-interrupts, period-1/period-2 timer edges, incremental ``run_cycles``
-stepping, and the error paths (cycle limit, deadlock).
+(the four designs plus a 4-core machine and a broadcast-less ablation)
+on ramp inputs, and on seeded ECG leads — as sweeps feed them, and
+phase-shifted per core so the data-dependent branches pull the cores
+apart at different iterations; interrupt-driven streaming with a
+periodic timer, scheduled one-shot interrupts, period-1/period-2 timer
+edges, incremental ``run_cycles`` stepping, and the error paths (cycle
+limit, deadlock).
 """
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.dsp.ecg import EcgConfig, generate_ecg
 from repro.kernels.layout import BANK_WORDS
 from repro.kernels.suite import (
     BENCHMARKS,
@@ -42,8 +52,23 @@ def channels(n_samples, num_cores=8):
             for core in range(num_cores)]
 
 
+def ecg_channels(n_samples, num_cores=8, *, seed=2013, phase=0):
+    """Seeded ECG leads, the input ``resolve_channels`` gives sweeps.
+
+    With ``phase``, core ``c``'s lead is rotated by ``c * phase``
+    samples, so the beats reach the cores at different times.
+    """
+    recording = generate_ecg(n_channels=8, n_samples=n_samples,
+                             config=EcgConfig(seed=seed))
+    leads = [recording.channel(core) for core in range(num_cores)]
+    shifts = [core * phase % n_samples for core in range(num_cores)]
+    return [lead[shift:] + lead[:shift]
+            for lead, shift in zip(leads, shifts)]
+
+
 def machine_state(machine: Machine) -> dict:
     """Everything observable about a finished machine."""
+    sync = machine.synchronizer
     return {
         "trace": machine.trace.as_dict(),
         "dm": list(machine.dm.words),
@@ -53,6 +78,13 @@ def machine_state(machine: Machine) -> dict:
              core.epc, core.ivec, core.status, core.rsync)
             for core in machine.cores
         ],
+        "barrier_sleepers": [machine.is_barrier_sleeper(core.coreid)
+                             for core in machine.cores],
+        "arbiters": (list(machine.ixbar._priority),
+                     list(machine.dxbar._priority)),
+        "checkpoints": {} if sync is None else {
+            address: dataclasses.asdict(stats)
+            for address, stats in sync.stats.items()},
     }
 
 
@@ -61,7 +93,10 @@ def assert_equivalent(fast: Machine, slow: Machine) -> None:
     slow_state = machine_state(slow)
     assert fast_state["trace"] == slow_state["trace"]
     assert fast_state["cores"] == slow_state["cores"]
+    assert fast_state["barrier_sleepers"] == slow_state["barrier_sleepers"]
     assert fast_state["dm"] == slow_state["dm"]
+    assert fast_state["arbiters"] == slow_state["arbiters"]
+    assert fast_state["checkpoints"] == slow_state["checkpoints"]
 
 
 def run_pair(program, config, setup=None, max_cycles=200_000):
@@ -92,12 +127,10 @@ CONFIGS["with-sync-no-broadcast"] = (
                    im_broadcast=False, dm_broadcast=False), True)
 
 
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
-@pytest.mark.parametrize("bench", sorted(BENCHMARKS))
-def test_kernel_differential(bench, config_name):
+def kernel_pair(bench, config_name, data):
+    """Run one Fig. 3 kernel over per-core ``data`` on both engines."""
     config, sync_enabled = CONFIGS[config_name]
     program = build_program(bench, sync_enabled)
-    data = channels(N_SAMPLES, config.num_cores)
 
     def setup(machine):
         for core, channel in enumerate(data):
@@ -106,10 +139,41 @@ def test_kernel_differential(bench, config_name):
         if n_address is None:
             from repro.kernels.sqrt32 import N_SAMPLES_ADDRESS
             n_address = N_SAMPLES_ADDRESS
-        machine.dm.write(n_address, N_SAMPLES)
+        machine.dm.write(n_address, len(data[0]))
 
-    fast, slow = run_pair(program, config, setup, max_cycles=2_000_000)
+    return run_pair(program, config, setup, max_cycles=2_000_000)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+def test_kernel_differential(bench, config_name):
+    num_cores = CONFIGS[config_name][0].num_cores
+    fast, slow = kernel_pair(bench, config_name,
+                             channels(N_SAMPLES, num_cores))
     assert_equivalent(fast, slow)
+
+
+# ECG pulls the cores apart on the kernels' data-dependent branches:
+# these inputs exercise hammock disagreement, barrier wake-ups and
+# divergent memory cycles, the regime ramps never reach.
+ECG_SAMPLES = 8
+ECG_INPUTS = {
+    "ecg": dict(seed=2013),
+    "ecg-phase": dict(seed=7, phase=3),
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(ECG_INPUTS))
+@pytest.mark.parametrize("config_name", [
+    "with-sync", "without-sync", "with-sync-4-cores",
+    "with-sync-no-broadcast"])
+@pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+def test_kernel_differential_ecg(bench, config_name, inputs):
+    num_cores = CONFIGS[config_name][0].num_cores
+    data = ecg_channels(ECG_SAMPLES, num_cores, **ECG_INPUTS[inputs])
+    fast, slow = kernel_pair(bench, config_name, data)
+    assert_equivalent(fast, slow)
+    assert fast.engine_stats.divergent_cycles > 0
 
 
 @pytest.mark.parametrize("design_name", sorted(DESIGNS))

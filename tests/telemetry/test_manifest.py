@@ -97,6 +97,10 @@ class TestLoadAndSummarize:
         text = summarize_manifest(directory)
         assert f"{len(outcomes)} runs" in text
         assert "cache hit rate" in text
+        totals = json.loads(
+            (directory / "manifest.json").read_text())["telemetry_totals"]
+        stepped = totals["cycles"] - totals["fast_cycles"]
+        assert f"{stepped} stepped by the reference" in text
         for outcome in outcomes:
             assert outcome.request.label in text
 
