@@ -469,12 +469,22 @@ def cmd_sweep(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    import logging
 
     from .exec import WIRE_SCHEMA, HttpPeerCache, MemoryCache
-    from .obs.log import configure_logging
+    from .obs.log import configure_logging, emit
     from .serve import SweepService, default_service_cache, serve_forever
 
     configure_logging(json_output=args.log_json, level=args.log_level)
+    if args.timeout is not None:
+        # the per-run deadline is SIGALRM-based: it fires only on a
+        # process's main thread, i.e. inside pool workers
+        emit("serve.timeout_unenforced", level=logging.WARNING,
+             timeout=args.timeout, jobs=args.jobs,
+             detail="--timeout applies only to runs dispatched to the "
+                    "process pool (--jobs >= 2 and more than one miss "
+                    "in a sweep); in-process runs are bounded by "
+                    "max_cycles alone")
     if args.no_cache and args.peer:
         print("serve: --no-cache and --peer are mutually exclusive "
               "(the peer tier lives inside the cache)", file=sys.stderr)
@@ -884,7 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="root for per-job manifest directories "
                         "(default: serve-state)")
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-run wall-clock budget in seconds")
+                   help="per-run wall-clock budget in seconds; enforced "
+                        "only in pool workers, not on in-process runs "
+                        "(see docs/service.md)")
     p.add_argument("--batch", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="array-of-machines batching in the executor")

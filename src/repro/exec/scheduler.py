@@ -9,7 +9,10 @@ the work was scheduled:
    deduplicated — identical requests simulate once;
 2. digests are looked up in the configured cache (unless ``refresh``);
 3. the misses execute — serially in-process for ``jobs <= 1``, else on a
-   ``ProcessPoolExecutor`` with ``jobs`` workers.  The pool persists
+   ``ProcessPoolExecutor`` with ``jobs`` workers.  Concurrent
+   :meth:`SweepExecutor.run` calls (the service's worker threads) share
+   one executor: their cache lookups proceed side by side, and only
+   their execute phases take turns.  The pool persists
    across :meth:`SweepExecutor.run` calls, so workers keep their
    per-process caches of built kernel images and generated inputs warm
    (on fork start methods they even inherit the parent's warm caches);
@@ -24,6 +27,7 @@ the work was scheduled:
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -131,8 +135,9 @@ class SweepExecutor:
     :param profile: collect an :class:`~repro.obs.profile.ExecProfile`
         per sweep (``--profile``): per-phase wall/CPU timings and
         per-run self-time, exposed as :attr:`last_profile` and folded
-        into the manifest.  Off by default — profiling is opt-in and
-        otherwise completely off-path.
+        into the manifest (``manifest.finalize(profile=...)``, the one
+        source that cannot belong to a concurrent sweep).  Off by
+        default — profiling is opt-in and otherwise completely off-path.
     """
 
     def __init__(self, jobs: int = 0, cache=None, *,
@@ -150,6 +155,11 @@ class SweepExecutor:
         self.last_metrics: SweepMetrics | None = None
         self.last_profile: ExecProfile | None = None
         self._pool: ProcessPoolExecutor | None = None
+        #: pairs each ``cache.get`` with its ``_hit_tier()`` read (the
+        #: tier is shared state on the cache) and guards ``cache.put``
+        self._cache_lock = threading.Lock()
+        #: one sweep's misses execute at a time; lookups never take it
+        self._execute_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -191,7 +201,9 @@ class SweepExecutor:
             included) and the manifest is finalized when the sweep ends.
         :param observer: optional observability hook — duck-typed with
             ``on_phase(name, started, ended, **info)`` called after the
-            cache and execute phases (epoch-second boundaries) and
+            cache, queue and execute phases (epoch-second boundaries;
+            ``queue`` is the wait for another sweep's execute phase,
+            reported only when there are misses) and
             ``on_outcome(outcome, record)`` called per outcome as it
             lands.  The service uses this to grow the request's span
             tree; observer errors are the caller's problem by design.
@@ -218,11 +230,13 @@ class SweepExecutor:
         with profile.phase("cache") if profile else nullcontext():
             for index, (request, digest) in enumerate(zip(requests,
                                                           digests)):
-                payload = None
+                payload = tier = None
                 if self.cache is not None and not self.refresh:
-                    payload = self.cache.get(digest)
+                    with self._cache_lock:
+                        payload = self.cache.get(digest)
+                        if payload is not None:
+                            tier = self._hit_tier()
                 if payload is not None:
-                    tier = self._hit_tier()
                     outcomes[index] = RunOutcome(index, request, digest,
                                                  payload=payload,
                                                  cached=True,
@@ -244,44 +258,49 @@ class SweepExecutor:
             observer.on_phase("cache", phase_started, time.time(),
                               hits=done, misses=len(pending))
 
-        # execute phase
+        # execute phase — misses take turns with other sweeps' misses
         unique = [(digest, requests[indices[0]])
                   for digest, indices in pending.items()]
         phase_started = time.time()
-        with profile.phase("execute") if profile else nullcontext():
-            for digest, payload, error in self._execute(unique, trace_id):
-                for position, index in enumerate(pending[digest]):
-                    outcomes[index] = RunOutcome(index, requests[index],
-                                                 digest, payload=payload,
-                                                 error=error,
-                                                 deduped=position > 0)
-                    done += 1
-                    # duplicates share the payload but only the first one
-                    # carries the execution time (metrics honesty)
-                    engine = (payload or {}).get("engine") or {}
-                    record = metrics.note(
-                        index, requests[index].label, cached=False,
-                        failed=error is not None,
-                        elapsed=((payload or {}).get("elapsed", 0.0)
-                                 if position == 0 else 0.0),
-                        worker=(payload or {}).get("worker"),
-                        batch=(payload or {}).get("batch_size", 0),
-                        peeled=bool(engine.get("peel_count")),
-                        deduped=position > 0)
-                    if position == 0 and profile is not None:
-                        profile.note_run(requests[index].label, payload)
-                    if manifest is not None:
-                        manifest.note_outcome(outcomes[index], record)
-                    if observer is not None:
-                        observer.on_outcome(outcomes[index], record)
-                    if self.log:
-                        self.log(progress_line(record, done, metrics.total,
-                                               hit_rate=metrics.hit_rate))
-                if error is None and self.cache is not None:
-                    self.cache.put(digest, payload)
-        if observer is not None:
-            observer.on_phase("execute", phase_started, time.time(),
-                              executed=len(unique))
+        with self._execute_lock if unique else nullcontext():
+            if unique and observer is not None:
+                observer.on_phase("queue", phase_started, time.time())
+            phase_started = time.time()
+            with profile.phase("execute") if profile else nullcontext():
+                for digest, payload, error in self._execute(unique, trace_id):
+                    for position, index in enumerate(pending[digest]):
+                        outcomes[index] = RunOutcome(index, requests[index],
+                                                     digest, payload=payload,
+                                                     error=error,
+                                                     deduped=position > 0)
+                        done += 1
+                        # duplicates share the payload but only the first one
+                        # carries the execution time (metrics honesty)
+                        engine = (payload or {}).get("engine") or {}
+                        record = metrics.note(
+                            index, requests[index].label, cached=False,
+                            failed=error is not None,
+                            elapsed=((payload or {}).get("elapsed", 0.0)
+                                     if position == 0 else 0.0),
+                            worker=(payload or {}).get("worker"),
+                            batch=(payload or {}).get("batch_size", 0),
+                            peeled=bool(engine.get("peel_count")),
+                            deduped=position > 0)
+                        if position == 0 and profile is not None:
+                            profile.note_run(requests[index].label, payload)
+                        if manifest is not None:
+                            manifest.note_outcome(outcomes[index], record)
+                        if observer is not None:
+                            observer.on_outcome(outcomes[index], record)
+                        if self.log:
+                            self.log(progress_line(record, done, metrics.total,
+                                                   hit_rate=metrics.hit_rate))
+                    if error is None and self.cache is not None:
+                        with self._cache_lock:
+                            self.cache.put(digest, payload)
+            if observer is not None:
+                observer.on_phase("execute", phase_started, time.time(),
+                                  executed=len(unique))
 
         metrics.finish()
         if manifest is not None:

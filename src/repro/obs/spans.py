@@ -2,8 +2,8 @@
 
 A :class:`SpanRecorder` collects the spans of **one** traced request as
 it crosses the service: the http receive, the job lifetime, the
-coalescer claim, the cache-tier lookup, the executor phase and every
-per-run execution.  Each span carries a :class:`~repro.obs.context
+coalescer claim, the cache-tier lookup, the wait for the executor,
+the executor phase and every per-run execution.  Each span carries a :class:`~repro.obs.context
 .TraceContext` (so parentage is explicit) plus free-form args — digest,
 cache tier, outcome — and optional *links* to spans in other traces
 (a coalesced follower links to the owning submission's span).
@@ -38,8 +38,9 @@ STAGE_TIDS = {
     "job": 1,
     "coalesce": 2,
     "cache": 3,
-    "execute": 4,
-    "run": 5,
+    "queue": 4,
+    "execute": 5,
+    "run": 6,
 }
 _OTHER_TID = 9
 

@@ -12,11 +12,14 @@ Each submitted :class:`~repro.exec.job.SweepSpec` becomes a
 2. each unique digest is claimed in the coalescer — digests another
    job is already simulating are *followed*, not re-executed;
 3. the owned remainder runs through the shared executor (which applies
-   its own cache lookup, in-sweep dedup and batch coalescing);
+   its own cache lookup, in-sweep dedup and batch coalescing).  Jobs
+   enter it concurrently: lookups never wait, and only the misses of
+   one sweep at a time execute;
 4. outcomes stream into the job's manifest directory
    (``runs.jsonl`` + ``manifest.json``, the same artifacts
    ``repro sweep`` writes), which also backs the
-   ``GET /v1/sweeps/{id}/events`` stream.
+   ``GET /v1/sweeps/{id}/events`` stream: every row written, and the
+   job turning terminal, notifies the job's listeners.
 
 The HTTP front end lives in :mod:`repro.serve.routes`; this module is
 HTTP-free and directly usable in-process (the end-to-end tests do).
@@ -83,6 +86,8 @@ class Job:
             trace_id=trace.trace_id if trace is not None else None)
         self.span = None                #: the job-lifetime span
         self.queue_wait: float | None = None
+        self._listeners: list = []
+        self._listeners_lock = threading.Lock()
 
     @property
     def trace_id(self) -> str:
@@ -91,6 +96,29 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL
+
+    def subscribe(self, callback) -> None:
+        """Call ``callback()`` (from a worker thread) on every row the
+        job writes and once more when it turns terminal."""
+        with self._listeners_lock:
+            self._listeners.append(callback)
+
+    def unsubscribe(self, callback) -> None:
+        with self._listeners_lock:
+            self._listeners.remove(callback)
+
+    def notify(self) -> None:
+        with self._listeners_lock:
+            listeners = list(self._listeners)
+        for callback in listeners:
+            callback()
+
+    def note_row(self, writer: SweepManifestWriter,
+                 outcome: RunOutcome) -> None:
+        """Stream one outcome row into the manifest and wake listeners."""
+        writer.note_outcome(outcome)
+        self.completed += 1
+        self.notify()
 
     @staticmethod
     def _source(outcome: RunOutcome) -> str:
@@ -143,8 +171,9 @@ class _ManifestProxy:
     The executor numbers outcomes within the subset it was handed;
     the proxy remaps them to job-level indices before they reach the
     job's :class:`~repro.telemetry.manifest.SweepManifestWriter`, and
-    swallows ``finalize`` — the service finalizes once the coalesced
-    and duplicate rows are in too.
+    defers ``finalize`` — the service finalizes once the coalesced
+    and duplicate rows are in too, with the profile kept from here
+    (the executor's ``last_profile`` may already be another job's).
     """
 
     def __init__(self, job: Job, writer: SweepManifestWriter,
@@ -152,14 +181,15 @@ class _ManifestProxy:
         self._job = job
         self._writer = writer
         self._index_map = index_map
+        self.profile = None
 
     def note_outcome(self, outcome, record=None) -> None:
-        remapped = replace(outcome, index=self._index_map[outcome.index])
-        self._writer.note_outcome(remapped)
-        self._job.completed += 1
+        self._job.note_row(
+            self._writer,
+            replace(outcome, index=self._index_map[outcome.index]))
 
-    def finalize(self, **kwargs) -> None:
-        pass
+    def finalize(self, *, profile=None, **kwargs) -> None:
+        self.profile = profile
 
 
 class _ExecObserver:
@@ -167,7 +197,8 @@ class _ExecObserver:
 
     One instance per job hands the executor's phase boundaries and
     per-outcome notifications to the job's span recorder: the
-    cache-tier lookup and execute phases become stage spans, every
+    cache-tier lookup, queue (waiting for another job's execute phase)
+    and execute phases become stage spans, every
     outcome becomes a ``run`` span carrying digest / provenance /
     cache-tier args.
     """
@@ -237,7 +268,6 @@ class SweepService:
         self.started_at = time.time()
         self._monotonic_start = time.monotonic()
         self._lock = threading.Lock()
-        self._exec_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, concurrency),
             thread_name_prefix="repro-serve")
@@ -330,6 +360,7 @@ class SweepService:
             if job.span is not None:
                 job.recorder.finish(job.span, status=job.status,
                                     error=job.error)
+            job.notify()
             latency = (job.finished or time.time()) - job.submitted
             self.instruments.observe_request_latency(latency)
             self._write_trace(job)
@@ -381,16 +412,16 @@ class SweepService:
              followed=len(claims) - len(owned))
 
         executed: dict[str, RunOutcome] = {}
+        proxy = None
         try:
             if owned:
                 proxy = _ManifestProxy(job, writer,
                                        [first_index[d] for d in owned])
-                with self._exec_lock:
-                    for outcome in self.executor.run(
-                            [requests[first_index[d]] for d in owned],
-                            manifest=proxy, observer=observer,
-                            trace_id=job.trace_id):
-                        executed[outcome.digest] = outcome
+                for outcome in self.executor.run(
+                        [requests[first_index[d]] for d in owned],
+                        manifest=proxy, observer=observer,
+                        trace_id=job.trace_id):
+                    executed[outcome.digest] = outcome
         finally:
             # resolve every owned claim, crash or not — followers must
             # receive *something*.  A claim with no outcome means this
@@ -429,15 +460,13 @@ class SweepService:
                     outcome = base
                 else:
                     outcome = replace(base, index=index, deduped=True)
-                    writer.note_outcome(outcome)
-                    job.completed += 1
+                    job.note_row(writer, outcome)
             else:
                 payload, error = followed[digest]
                 outcome = RunOutcome(
                     index, request, digest, payload=payload, error=error,
                     coalesced=True, deduped=index != first_index[digest])
-                writer.note_outcome(outcome)
-                job.completed += 1
+                job.note_row(writer, outcome)
             outcomes.append(outcome)
             metrics.note(
                 index, request.label, cached=outcome.cached,
@@ -453,8 +482,7 @@ class SweepService:
         metrics.finish()
         writer.finalize(metrics=metrics, cache=self.cache, spec=job.spec,
                         trace_id=job.trace_id,
-                        profile=(self.executor.last_profile
-                                 if owned else None))
+                        profile=proxy.profile if proxy is not None else None)
         job.metrics = metrics
         job.outcomes = outcomes
         job.completed = len(outcomes)
@@ -520,11 +548,10 @@ class SweepService:
              owner_trace_id=owner.trace_id if owner else None)
         try:
             proxy = _ManifestProxy(job, writer, [index])
-            with self._exec_lock:
-                for outcome in self.executor.run([request], manifest=proxy,
-                                                 observer=observer,
-                                                 trace_id=job.trace_id):
-                    executed[digest] = outcome
+            for outcome in self.executor.run([request], manifest=proxy,
+                                             observer=observer,
+                                             trace_id=job.trace_id):
+                executed[digest] = outcome
         finally:
             outcome = executed.get(digest)
             self.coalescer.resolve(

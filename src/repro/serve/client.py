@@ -148,32 +148,53 @@ class ServeClient:
         The generator owns its connection; closing it mid-stream is
         fine.
         """
+        return self._events(job_id, deadline=None)
+
+    def _events(self, job_id: str, *, deadline: float | None):
         connection = self._connect()
         try:
             connection.request("GET", f"/v1/sweeps/{job_id}/events",
                                headers={"Accept": "application/x-ndjson"})
+            sock = connection.sock      # the response takes it over
             response = connection.getresponse()
             if response.status >= 400:
                 self._raise_envelope(response.status, response.read())
-            for raw in response:       # http.client decodes the chunking
+            while True:
+                if deadline is not None:
+                    # each read may block for what is left of the budget
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TimeoutError
+                    sock.settimeout(left)
+                raw = response.readline()   # http.client de-chunks
+                if not raw:
+                    return
                 line = raw.strip()
                 if line:
                     yield json.loads(line)
         finally:
             connection.close()
 
-    def wait(self, job_id: str, *, poll: float = 0.1,
-             timeout: float | None = 120.0) -> dict:
-        """Poll until the job is terminal; returns the final resource."""
+    def wait(self, job_id: str, *, timeout: float | None = 120.0) -> dict:
+        """Block until the job is terminal; returns the final resource.
+
+        Reads :meth:`events` to its ``end`` marker, which the server
+        pushes the moment the job ends, then fetches the job once.
+
+        :param timeout: overall seconds to wait; ``None`` sets no
+            overall bound (each read keeps the per-call socket timeout).
+        :raises TimeoutError: the job is not terminal after ``timeout``
+            seconds.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["status"] in ("done", "failed"):
-                return job
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {job['status']} after {timeout}s")
-            time.sleep(poll)
+        try:
+            for event in self._events(job_id, deadline=deadline):
+                if event.get("event") == "end":
+                    break
+        except TimeoutError:
+            raise TimeoutError(
+                f"job {job_id} not finished after {timeout}s") from None
+        return self.job(job_id)
 
     def run_payload(self, digest: str) -> dict | None:
         """Fetch one cached result by digest; ``None`` when absent."""

@@ -7,6 +7,10 @@ standard error envelope via :class:`~repro.serve.http.ApiError`, wire
 documents are checked with :mod:`repro.exec.wire` before anything
 touches the job table.
 
+The events stream is push-driven: it sleeps until the job notifies a
+new row or its terminal status (:meth:`~repro.serve.app.Job.subscribe`)
+and never polls, so a row reaches the client as soon as it is written.
+
 ========  ==========================  ==================================
 method    path                        purpose
 ========  ==========================  ==================================
@@ -38,10 +42,6 @@ from ..exec.wire import (
 from ..kernels import BENCHMARKS
 from .app import SweepService
 from .http import ApiError, Request, Response, Router
-
-#: polling cadence of the events stream (the manifest writer flushes
-#: every row, so this bounds added latency, not correctness)
-EVENTS_POLL_SECONDS = 0.05
 
 _DIGEST_CHARS = set("0123456789abcdef")
 
@@ -113,20 +113,34 @@ def build_router(service: SweepService) -> Router:
         async def stream():
             runs_path = job.directory / "runs.jsonl"
             offset = 0
-            while True:
-                terminal = job.terminal    # read *before* draining rows
-                if runs_path.is_file():
-                    with open(runs_path, "rb") as handle:
-                        handle.seek(offset)
-                        fresh = handle.read()
-                    if fresh:
-                        complete = fresh[:fresh.rfind(b"\n") + 1]
-                        offset += len(complete)
-                        if complete:
-                            yield complete
-                if terminal:
-                    break
-                await asyncio.sleep(EVENTS_POLL_SECONDS)
+            loop = asyncio.get_running_loop()
+            woken = asyncio.Event()
+
+            def wake():                    # called on a worker thread
+                try:
+                    loop.call_soon_threadsafe(woken.set)
+                except RuntimeError:       # the server loop has closed
+                    pass
+
+            job.subscribe(wake)
+            try:
+                while True:
+                    woken.clear()          # before reading any state
+                    terminal = job.terminal    # *before* draining rows
+                    if runs_path.is_file():
+                        with open(runs_path, "rb") as handle:
+                            handle.seek(offset)
+                            fresh = handle.read()
+                        if fresh:
+                            complete = fresh[:fresh.rfind(b"\n") + 1]
+                            offset += len(complete)
+                            if complete:
+                                yield complete
+                    if terminal:
+                        break
+                    await woken.wait()
+            finally:
+                job.unsubscribe(wake)
             end = {"event": "end", "status": job.status, "error": job.error}
             yield (json.dumps(end, sort_keys=True) + "\n").encode()
 

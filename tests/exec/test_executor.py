@@ -1,5 +1,9 @@
 """Scheduler: parallel == serial bit-identity, caching, crash isolation."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.exec import (
@@ -8,6 +12,8 @@ from repro.exec import (
     RunRequest,
     SweepExecutor,
     SweepSpec,
+    TieredCache,
+    scheduler,
 )
 from repro.kernels import WITH_SYNC, WITHOUT_SYNC
 
@@ -160,3 +166,67 @@ def test_duplicate_outcomes_are_flagged_deduped():
     assert executor.last_metrics.dedup_hits == 2
     # the executor never coalesces across submissions itself
     assert all(not o.coalesced for o in outcomes)
+
+
+def test_concurrent_runs_share_one_executor_safely(tmp_path, monkeypatch):
+    """Eight threads drive one executor over one tiered cache.  Every hit
+    names the tier that served it (a lookup paired with another
+    thread's tier read would say ``None``), and no two execute phases
+    overlap."""
+    guard = threading.Lock()
+    inside, peak = [0], [0]
+
+    def fake_task(request, timeout):
+        with guard:
+            inside[0] += 1
+            peak[0] = max(peak[0], inside[0])
+        time.sleep(0.001)
+        with guard:
+            inside[0] -= 1
+        if request.seed == failing.seed:      # never cached: always a miss
+            return None, "RuntimeError: boom"
+        return {"seed": request.seed, "elapsed": 0.0}, None
+
+    class SlowTieredCache(TieredCache):
+        def get(self, digest):
+            payload = super().get(digest)
+            time.sleep(0.0005)    # widen the window before the tier read
+            return payload
+
+    monkeypatch.setattr(scheduler, "_pool_task", fake_task)
+    requests = [RunRequest("SQRT32", WITH_SYNC, seed=seed, **SMALL)
+                for seed in range(12)]
+    failing = RunRequest("SQRT32", WITH_SYNC, seed=99, **SMALL)
+    executor = SweepExecutor(
+        cache=SlowTieredCache(MemoryCache(max_entries=64),
+                              DiskCache(tmp_path)),
+        batch=False)
+    outcomes, errors = [], []
+
+    def client(offset):
+        try:
+            for step in range(6):
+                start = (offset + step) % 6
+                outcomes.extend(
+                    executor.run([failing, *requests[start:start + 6]]))
+        except Exception as exc:  # noqa: BLE001 — report in-test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(n,)) for n in range(8)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(outcomes) == 8 * 6 * 7
+    assert peak[0] == 1
+    assert all(o.payload["seed"] == o.request.seed
+               for o in outcomes if o.request != failing)
+    hits = [o for o in outcomes if o.cached]
+    assert hits and {o.cache_tier for o in hits} == {"memory"}

@@ -4,9 +4,12 @@ One module-scoped server backs every test; specs use distinct seeds so
 tests only share cache entries when they mean to.
 """
 
+import asyncio
 import http.client
 import json
+import logging
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -18,15 +21,20 @@ from repro.exec import (
     WIRE_SCHEMA,
     payload_to_wire,
     request_digest,
+    scheduler,
 )
 from repro.kernels import WITH_SYNC, WITHOUT_SYNC
+from repro.obs.log import get_logger
 from repro.serve import (
     ServeClient,
     ServiceError,
     SweepService,
+    build_router,
     default_service_cache,
+    routes,
     start_server,
 )
+from repro.serve.http import Request
 
 SMALL = dict(n_samples=8, num_cores=2)
 
@@ -51,6 +59,53 @@ def served(tmp_path_factory):
     with service, start_server(service) as handle:
         yield SimpleNamespace(service=service, handle=handle,
                               client=ServeClient(handle.base_url))
+
+
+@pytest.fixture
+def held(tmp_path, monkeypatch):
+    """A private server whose in-process simulations can be held.
+
+    Every ``_pool_task`` call sets ``entered`` and then blocks until
+    ``release`` is set.  The gate starts open; a test closes it with
+    ``release.clear()`` once its warm-up is done.
+    """
+    entered, release = threading.Event(), threading.Event()
+    release.set()
+    original = scheduler._pool_task
+
+    def held_task(request, timeout):
+        entered.set()
+        release.wait(60)
+        return original(request, timeout)
+
+    monkeypatch.setattr(scheduler, "_pool_task", held_task)
+    service = SweepService(cache=default_service_cache(tmp_path / "cache"),
+                           state_dir=tmp_path / "state", concurrency=4,
+                           profile=True)
+    with service, start_server(service) as handle:
+        # a short socket timeout turns "blocked behind the held run"
+        # into a test failure instead of a hang
+        yield SimpleNamespace(service=service, entered=entered,
+                              release=release,
+                              client=ServeClient(handle.base_url,
+                                                 timeout=10))
+        release.set()
+
+
+def hold_cold_job(held, seed: int) -> str:
+    """Submit a one-run cold job and return once it is simulating."""
+    held.entered.clear()
+    held.release.clear()
+    job_id = held.client.submit(spec_for(seed=seed))["id"]
+    assert held.entered.wait(30)
+    return job_id
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
 
 
 def raw_request(served, method, path, body=None, content_type=None):
@@ -142,6 +197,116 @@ class TestEndToEnd:
         assert len(rows) == len(spec)
         assert sorted(row["index"] for row in rows) == [0, 1]
         assert all(len(row["digest"]) == 64 for row in rows)
+
+
+class TestLookupsNeverWait:
+    def test_hit_completes_while_another_job_simulates(self, held):
+        warm = spec_for(seed=1201)
+        held.client.wait(held.client.submit(warm)["id"])
+        cold_id = hold_cold_job(held, seed=1202)
+
+        hit_id = held.client.submit(warm)["id"]
+        events = list(held.client.events(hit_id))
+        assert events[-1] == {"event": "end", "status": "done",
+                              "error": None}
+        assert [row["cached"] for row in events[:-1]] == [True]
+        assert held.client.job(hit_id)["status"] == "done"
+        # ... all while the other job is still inside its simulation
+        assert not held.release.is_set()
+        assert held.client.job(cold_id)["status"] == "running"
+
+        held.release.set()
+        final = held.client.wait(cold_id)
+        assert final["status"] == "done"
+        assert final["runs"][0]["source"] == "executed"
+
+    def test_mixed_job_streams_hits_before_its_miss(self, held):
+        warm = spec_for(seed=1301)
+        held.client.wait(held.client.submit(warm)["id"])
+        cold_id = hold_cold_job(held, seed=1302)
+
+        mixed = SweepSpec("mixed", (warm.requests[0],
+                                    spec_for(seed=1303).requests[0]))
+        mixed_id = held.client.submit(mixed)["id"]
+        stream = held.client.events(mixed_id)
+        first = next(stream)
+        assert first["cached"] is True and first["index"] == 0
+        assert not held.release.is_set()
+        assert not held.service.job(mixed_id).terminal
+
+        held.release.set()
+        rest = list(stream)
+        assert rest[-1]["event"] == "end" and rest[-1]["status"] == "done"
+        assert [(row["index"], row["cached"]) for row in rest[:-1]] == \
+            [(1, False)]
+        assert held.client.wait(cold_id)["status"] == "done"
+
+    def test_wait_timeout_raises_while_the_job_runs(self, held):
+        job_id = hold_cold_job(held, seed=1401)
+        with pytest.raises(TimeoutError):
+            held.client.wait(job_id, timeout=0.3)
+        held.release.set()
+        assert held.client.wait(job_id)["status"] == "done"
+
+    def test_overlapping_jobs_persist_their_own_profiles(self, held):
+        first_id = hold_cold_job(held, seed=1501)
+        second = held.client.submit(
+            spec_for(seed=1502, benchmarks=("MRPDLN",)))["id"]
+        # the second job's lookup is done and its miss is queued behind
+        # the first job's execute phase
+        second_job = held.service.job(second)
+        wait_for(lambda: any(span.name == "cache-tier lookup"
+                             for span in second_job.recorder.spans()))
+        held.release.set()
+        for job_id in (first_id, second):
+            final = held.client.wait(job_id)
+            manifest = json.loads(
+                (held.service.job(job_id).directory
+                 / "manifest.json").read_text())
+            labels = [row["label"]
+                      for row in manifest["profile"]["top_runs"]]
+            assert labels == [run["label"] for run in final["runs"]]
+
+    def test_queue_wait_is_its_own_stage_span(self, held):
+        cold_id = hold_cold_job(held, seed=1601)
+        queued_id = held.client.submit(spec_for(seed=1602))["id"]
+        queued = held.service.job(queued_id)
+        wait_for(lambda: any(span.name == "cache-tier lookup"
+                             for span in queued.recorder.spans()))
+        time.sleep(0.2)
+        held.release.set()
+        held.client.wait(cold_id)
+        held.client.wait(queued_id)
+        spans = {span.name: span for span in queued.recorder.spans()}
+        queue, execute = spans["queue"], spans["execute"]
+        assert queue.stage == "queue"
+        assert queue.end - queue.start >= 0.2
+        assert execute.start >= queue.end
+
+
+class TestEventsPush:
+    def test_stream_wakes_by_notification_not_polling(self, held,
+                                                      monkeypatch):
+        async def no_sleep(*args, **kwargs):
+            raise AssertionError("the events stream must not poll")
+
+        monkeypatch.setattr(routes.asyncio, "sleep", no_sleep)
+        router = build_router(held.service)
+        held.release.clear()
+
+        async def collect():
+            job = held.service.submit(
+                spec_for(seed=1701, benchmarks=("SQRT32", "MRPDLN")))
+            response = await router.dispatch(
+                Request("GET", f"/v1/sweeps/{job.id}/events", {}, {}))
+            # the rows appear only after the stream has gone to sleep
+            asyncio.get_running_loop().call_later(0.1, held.release.set)
+            return b"".join([chunk async for chunk in response.stream])
+
+        body = asyncio.run(asyncio.wait_for(collect(), 60))
+        lines = [json.loads(line) for line in body.splitlines()]
+        assert lines[-1]["event"] == "end" and lines[-1]["status"] == "done"
+        assert sorted(row["index"] for row in lines[:-1]) == [0, 1]
 
 
 class TestRunsEndpoints:
@@ -237,6 +402,31 @@ class TestObservability:
         assert final["total"] == len(spec)
         assert final["completed"] == len(final["runs"]) == len(spec)
         assert final["submitted"] <= final["started"] <= final["finished"]
+
+
+def test_serve_warns_that_timeout_is_not_enforced_in_process(
+        tmp_path, monkeypatch, capsys):
+    from repro import cli, serve
+
+    async def no_server(service, host, port, ready=None):
+        pass
+
+    monkeypatch.setattr(serve, "serve_forever", no_server)
+    try:
+        assert cli.main(["serve", "--timeout", "5", "--log-json",
+                         "--state-dir", str(tmp_path / "state"),
+                         "--cache-dir", str(tmp_path / "cache")]) == 0
+    finally:
+        logger = get_logger()
+        for handler in list(logger.handlers):
+            if not isinstance(handler, logging.NullHandler):
+                logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+    records = [json.loads(line) for line in
+               capsys.readouterr().err.splitlines() if line.startswith("{")]
+    (warning,) = [doc for doc in records
+                  if doc["event"] == "serve.timeout_unenforced"]
+    assert warning["level"] == "warning" and warning["timeout"] == 5.0
 
 
 def test_client_cli_reports_unreachable_server():
