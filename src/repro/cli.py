@@ -548,8 +548,10 @@ def cmd_client(args) -> int:
                                        if client.last_trace else "?")
     print(f"job {job_id} accepted (trace {trace_id})")
 
+    # one events stream, bounded by --timeout overall; it ends the
+    # moment the job does, so one GET then fetches the final resource
     seen = 0
-    for event in client.events(job_id):
+    for event in client.events(job_id, timeout=args.timeout):
         if event.get("event") == "end":
             break
         seen += 1
@@ -561,8 +563,7 @@ def cmd_client(args) -> int:
         if event.get("error"):
             line += f"  ({event['error']})"
         print(line, flush=True)
-
-    final = client.wait(job_id, timeout=args.timeout)
+    final = client.job(job_id)
     runs = final.get("runs") or []
     counts = {key: sum(1 for row in runs if row["source"] == key)
               for key in ("executed", "cache", "coalesced", "deduped",

@@ -35,18 +35,21 @@ That regime is just as invariant as lockstep while nothing external is
 pending, so :meth:`FastEngine._divergent_burst` replays it without the
 reference path's per-cycle scans: the winners follow a static
 round-robin schedule, the broadcast groups live in a pc -> cores index,
-and a lone requester's LD/ST is served inline.  On ECG input, where the
+a served group's provably-winning LD/ST is served inline, and so is a
+group's SINC/SDEC arrival — the paper's own mechanism, cores checking
+in or out one broadcast group at a time.  On ECG input, where the
 kernels' data-dependent branches pull the cores apart, most simulated
 cycles run here.
 
-**Merged-barrier replay** — a lockstep ``SINC``/``SDEC`` collapses, in
-the reference, to one merged two-cycle checkpoint read-modify-write
-that touches nothing but the checkpoint word.
-:meth:`FastEngine._lockstep_sync` replays both cycles in one batched
-update (flags/counter arithmetic, release/wake latching, every trace
-and per-checkpoint counter, listener callbacks) instead of handing the
-window to ``step()`` — the dominant leftover cost in barrier-dense
-kernels.
+**Merged-barrier replay** — the cores that execute one ``SINC``/``SDEC``
+together merge, in the reference, into one two-cycle checkpoint
+read-modify-write that touches nothing but the checkpoint word.  One
+implementation (:meth:`FastEngine._rmw_plan`, ``_rmw_read``,
+``_rmw_write``: flags/counter arithmetic, release/wake latching, every
+trace and per-checkpoint counter, listener callbacks) replays it for
+a lockstep RMW (:meth:`FastEngine._lockstep_sync`, or inline mid-burst)
+and for a divergent group's arrival, instead of handing the window to
+``step()``.
 
 **Sleep fast-forward** — duty-cycled streaming nodes sleep for hundreds of
 cycles between ADC interrupts.  When no core is running and only a timer
@@ -74,11 +77,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cpu.executor import checkpoint_address
-from ..cpu.predecode import BURSTABLE, KIND_JUMP, KIND_MEM, KIND_SEQ, \
-    KIND_SYNC
+from ..cpu.predecode import BURSTABLE, KIND_DIVERGE, KIND_JUMP, KIND_MEM, \
+    KIND_SEQ, KIND_SYNC
 from ..cpu.state import CoreMode
 from ..isa.spec import Opcode
-from .synchronizer import CheckpointStats, SyncCompletion, \
+from .synchronizer import CheckpointStats, SyncCompletion, _Rmw, \
     pack_checkpoint, unpack_checkpoint
 
 INFINITY = float("inf")
@@ -118,12 +121,14 @@ class EngineStats:
     fused_blocks: int = 0
     #: cycles covered by fused blocks (a subset of ``lockstep_cycles``)
     fused_cycles: int = 0
-    #: bursts abandoned by a guard check — a STOP/SYNC instruction, a
-    #: memory pattern that may lose D-Xbar arbitration, an off-image or
-    #: multi-bank PC.  The abandoned cycle is replayed by the reference
-    #: ``step()`` (or, for a lockstep checkpoint RMW, by the barrier
-    #: fast path).  Burst endings that need no fallback (horizon,
-    #: convergence, divergence) are not deopts, and neither is a
+    #: bursts abandoned by a guard check — a STOP instruction, a SYNC
+    #: the barrier replay refuses (split or locked checkpoint word, a
+    #: protocol violation, a refused request), a memory pattern that
+    #: may lose D-Xbar arbitration, an off-image or multi-bank PC.  The
+    #: abandoned cycle is replayed by the reference ``step()`` (or, for
+    #: a lockstep checkpoint RMW, by the barrier fast path).  Burst
+    #: endings that need no fallback (horizon, convergence, divergence,
+    #: a barrier sleep or wake-up) are not deopts, and neither is a
     #: hammock disagreement (see ``pred_aborts``).
     deopt_count: int = 0
     #: executions of fused blocks containing inlined memory ops, and
@@ -156,8 +161,9 @@ class EngineStats:
     #: instruction, without predicated blocks, to the diverging branch
     #: (at most one per burst; not a deopt)
     pred_aborts: int = 0
-    #: merged lockstep SINC/SDEC read-modify-writes replayed by the
-    #: fast path (two cycles each) instead of the reference ``step()``
+    #: merged SINC/SDEC read-modify-writes replayed by the fast path
+    #: (both cycles) instead of the reference ``step()`` — lockstep
+    #: ones and divergent groups' arrivals alike
     sync_fused_rmws: int = 0
     #: size of the largest array-of-machines batch this run was part of
     #: (:func:`repro.cpu.vec.run_batch`); 0 when never batched
@@ -374,9 +380,10 @@ class FastEngine:
         idle core accrues its sleep/halt cycle.  A lockstep LD/ST whose
         requests provably win arbitration (distinct banks, or one
         broadcast read address) is served inline through
-        :meth:`_mem_cycle`; everything else — SINC/SDEC, mode changes,
-        PC divergence, bank conflicts — ends the burst, as does the
-        cycle before the next timer/IRQ event.
+        :func:`_mem_cycle`, and a checkpoint RMW that leaves the
+        running set alone is replayed inline; everything else — mode
+        changes, PC divergence, bank conflicts — ends the burst, as
+        does the cycle before the next timer/IRQ event.
 
         Whole straight-line runs are advanced by **fused superblocks**
         (:mod:`repro.cpu.blocks`): one fused call per running core
@@ -418,6 +425,7 @@ class FastEngine:
         interleaved = config.dm_interleaved
         nb = config.dm_banks
         bw = config.dm_bank_words
+        dm_broadcast = config.dm_broadcast
         dm_reads = dm_writes = dm_served = 0
         mem_blocks = 0
         mem_ops = 0
@@ -607,9 +615,17 @@ class FastEngine:
                         if diverged:
                             break
             elif kind == KIND_MEM and mem_ok:
-                if not self._mem_cycle(running, rec[1]):
+                accesses = _mem_cycle(running, rec[1], words, dm_priority,
+                                      interleaved, nb, bw, ncores,
+                                      dm_broadcast)
+                if not accesses:
                     deopt = True      # possible conflict: slow path
                     break
+                if rec[1][0]:
+                    dm_writes += accesses
+                else:
+                    dm_reads += accesses
+                dm_served += n
                 cycles += 1
                 executed += 1
                 if banks is not None:
@@ -627,83 +643,31 @@ class FastEngine:
                 # window) ends the burst cleanly; the next `_advance`
                 # iteration routes it through `_lockstep_sync` /
                 # ``step()`` untouched.
-                sync = machine.synchronizer
-                ins = rec[2]
-                if sync is None or cycles + 2 > horizon:
+                if machine.synchronizer is None or cycles + 2 > horizon:
                     break
-                address = checkpoint_address(running[0], ins)
-                ok = True
-                if n > 1:
-                    for core in running:
-                        if checkpoint_address(core, ins) != address:
-                            ok = False
-                            break
-                if (not ok or address >= len(words)
-                        or address in dxbar.locked_addresses):
+                plan = self._rmw_plan(running, rec[2])
+                if plan is None:
                     break
-                is_checkout = ins.op is Opcode.SDEC
-                flags, count = unpack_checkpoint(words[address])
-                count_after = count + (-n if is_checkout else n)
-                if count_after < 0 or count_after > ncores:
-                    break         # protocol violation: step() raises
-                released = is_checkout and count_after == 0
-                if is_checkout and not released:
-                    break         # the cores sleep: burst must end
-                woken: tuple = ()
-                if released:
-                    woken = tuple(cid for cid in range(ncores)
-                                  if flags & (1 << cid))
-                    sleeper = False
+                _address, is_checkout, _flags, count, woken = plan
+                if is_checkout:
+                    if count:
+                        break     # the cores sleep: burst must end
                     cores_all = machine.cores
+                    sleeper = False
                     for cid in woken:
                         if cores_all[cid].mode is CoreMode.SLEEPING:
                             sleeper = True
                             break
                     if sleeper:
                         break     # wake latching: burst must end
-                # -- cycle T: read phase -------------------------------
-                checkpoint = sync.stats.get(address)
-                if checkpoint is None:
-                    checkpoint = sync.stats[address] = CheckpointStats()
-                trace.dm_bank_reads += 1
-                trace.sync_rmw_ops += 1
-                checkpoint.rmws += 1
-                # -- cycle T+1: write phase, retire --------------------
-                trace.dm_bank_writes += 1
-                coreids = tuple(core.coreid for core in running)
-                if is_checkout:
-                    checkins: tuple = ()
-                    checkouts = coreids
-                    trace.sync_checkouts += n
-                    checkpoint.checkouts += n
-                else:
-                    for cid in coreids:
-                        flags |= 1 << cid
-                    checkins = coreids
-                    checkouts = ()
-                    trace.sync_checkins += n
-                    checkpoint.checkins += n
-                if count_after > checkpoint.max_counter:
-                    checkpoint.max_counter = count_after
-                if released:
-                    words[address] = 0
-                    trace.sync_wakeups += 1
-                    checkpoint.wakeups += 1
-                else:
-                    words[address] = pack_checkpoint(flags, count_after)
                 cycles += 2
+                self._rmw_write(plan, self._rmw_read(plan[0]), running,
+                                cycles)
                 n_syncs += 1
                 if banks is not None:
                     banks.add(pc // bank_words)
                 for core in running:
                     core.pc = pc + 1
-                if sync.listeners:
-                    trace.cycles = cycles  # listeners see the real clock
-                    completion = SyncCompletion(address, checkins,
-                                                checkouts, woken,
-                                                released, count_after)
-                    for listener in sync.listeners:
-                        listener(cycles, completion)
                 pc += 1
             else:
                 deopt = True          # mode change / unclassified
@@ -809,37 +773,24 @@ class FastEngine:
         one batched update — in barrier-dense kernels these two-step
         windows are most of what ``step()`` is left with.
 
-        Anything unusual defers to the reference untouched: a split
-        checkpoint address (per-core ``Rsync``), a locked or
-        out-of-range word, a protocol violation about to raise, a
-        timer/IRQ event inside the window, or a missing synchronizer.
+        Anything unusual defers to the reference untouched (see
+        :meth:`_rmw_plan`), as does a timer/IRQ event inside the window
+        or a missing synchronizer.
 
         :returns: True if the two cycles were consumed.
         """
         machine = self._machine
-        sync = machine.synchronizer
-        if sync is None:
+        if machine.synchronizer is None:
             return False          # step() raises ExecutionError
         trace = machine.trace
         cycles = trace.cycles
         if cycles + 2 > min(limit, self._next_event_cycle() - 1):
             return False          # an event lands inside the window
-        address = checkpoint_address(running[0], ins)
-        for core in running:
-            if checkpoint_address(core, ins) != address:
-                return False      # split addresses: step() merges groups
-        if address in machine.dxbar.locked_addresses:
-            return False          # refused request: step() replays retry
-        words = machine.dm.words
-        if address >= len(words):
-            return False          # step() raises MemoryError_
+        plan = self._rmw_plan(running, ins)
+        if plan is None:
+            return False
         n = len(running)
         config = machine.config
-        is_checkout = ins.op is Opcode.SDEC
-        flags, count = unpack_checkpoint(words[address])
-        count_after = count + (-n if is_checkout else n)
-        if count_after < 0 or count_after > config.num_cores:
-            return False          # protocol violation: step() raises
 
         # -- cycle T: broadcast fetch + synchronizer read phase --------
         if n == 1 and not config.im_broadcast:
@@ -851,49 +802,15 @@ class FastEngine:
         trace.im_bank_accesses += 1
         trace.im_fetches_served += n
         trace.note_lockstep(n)
-        checkpoint = sync.stats.get(address)
-        if checkpoint is None:
-            checkpoint = sync.stats[address] = CheckpointStats()
-        trace.dm_bank_reads += 1
-        trace.sync_rmw_ops += 1
-        checkpoint.rmws += 1
-
-        # -- cycle T+1: write phase, retire, wake latching -------------
-        trace.dm_bank_writes += 1
-        coreids = tuple(core.coreid for core in running)
-        if is_checkout:
-            checkins: tuple = ()
-            checkouts = coreids
-            trace.sync_checkouts += n
-            checkpoint.checkouts += n
-        else:
-            for cid in coreids:
-                flags |= 1 << cid
-            checkins = coreids
-            checkouts = ()
-            trace.sync_checkins += n
-            checkpoint.checkins += n
-        if count_after > checkpoint.max_counter:
-            checkpoint.max_counter = count_after
-        woken: tuple = ()
-        released = False
-        if count_after == 0 and is_checkout:
-            # barrier release: wake every flagged core (latched to the
-            # start of cycle T+2) and reinitialize the word
-            woken = tuple(cid for cid in range(config.num_cores)
-                          if flags & (1 << cid))
-            words[address] = 0
-            trace.sync_wakeups += 1
-            checkpoint.wakeups += 1
-            released = True
-        else:
-            words[address] = pack_checkpoint(flags, count_after)
+        checkpoint = self._rmw_read(plan[0])
 
         # Batched accounting of both cycles.  The idle census runs
         # before any mode change: a non-released checkout core is
         # *active* on its write cycle and only sleeps from T+2, and a
         # woken core stays a barrier sleeper through T+1.
         halted, sleeping, waiting = self._idle_census()
+        # -- cycle T+1: write phase, retire, wake latching -------------
+        self._rmw_write(plan, checkpoint, running, cycles + 2)
         trace.cycles = cycles + 2
         trace.core_active_cycles += 2 * n
         trace.retired_ops += n
@@ -907,27 +824,159 @@ class FastEngine:
             trace.core_sleep_cycles += 2 * sleeping
         if waiting:
             trace.sync_wait_cycles += 2 * waiting
-        if is_checkout and not released:
-            barrier_sleeper = machine._barrier_sleeper
-            for core in running:
-                core.mode = CoreMode.SLEEPING
-                barrier_sleeper[core.coreid] = True
-        if woken:
-            cores = machine.cores
-            wake_next = machine._wake_next
-            for cid in woken:
-                if cores[cid].mode is CoreMode.SLEEPING:
-                    wake_next.add(cid)
-        if sync.listeners:
-            completion = SyncCompletion(address, checkins, checkouts,
-                                        woken, released, count_after)
-            for listener in sync.listeners:
-                listener(trace.cycles, completion)
         stats = self.stats
         stats.lockstep_cycles += 2
         stats.sync_fused_rmws += 1
         machine._quiet = False
         return True
+
+    # ------------------------------------------------------------------
+    # Merged checkpoint read-modify-write (shared by every burst)
+    # ------------------------------------------------------------------
+
+    def _rmw_plan(self, cores, ins):
+        """Validate the merged SINC/SDEC RMW that ``cores`` start together.
+
+        Pure: nothing is touched.  Returns ``None`` — so the reference
+        ``step()`` runs the exchange — for a split checkpoint address
+        (per-core ``Rsync``), a locked or out-of-range word, or a
+        protocol violation the write phase would raise.  Otherwise
+        returns ``(address, is_checkout, flags, count_after, woken)``:
+        the identity flags already carry the check-ins, and ``woken``
+        lists every flagged core when the counter reaches zero on a
+        check-out (the barrier release).
+        """
+        machine = self._machine
+        address = checkpoint_address(cores[0], ins)
+        for core in cores:
+            if checkpoint_address(core, ins) != address:
+                return None       # split addresses: step() merges groups
+        words = machine.dm.words
+        if address >= len(words):
+            return None           # step() raises MemoryError_
+        if address in machine.dxbar.locked_addresses:
+            return None           # refused request: step() replays retry
+        ncores = machine.config.num_cores
+        n = len(cores)
+        flags, count = unpack_checkpoint(words[address])
+        is_checkout = ins.op is Opcode.SDEC
+        count += -n if is_checkout else n
+        if count < 0 or count > ncores:
+            return None           # protocol violation: step() raises
+        woken: tuple = ()
+        if is_checkout:
+            if not count:
+                woken = tuple(cid for cid in range(ncores)
+                              if flags & (1 << cid))
+        else:
+            for core in cores:
+                flags |= 1 << core.coreid
+        return address, is_checkout, flags, count, woken
+
+    def _rmw_read(self, address: int) -> CheckpointStats:
+        """Cycle T of a planned RMW: the synchronizer's read phase.
+
+        :returns: the checkpoint's statistics record, for the write.
+        """
+        machine = self._machine
+        stats = machine.synchronizer.stats
+        checkpoint = stats.get(address)
+        if checkpoint is None:
+            checkpoint = stats[address] = CheckpointStats()
+        trace = machine.trace
+        trace.dm_bank_reads += 1
+        trace.sync_rmw_ops += 1
+        checkpoint.rmws += 1
+        return checkpoint
+
+    def _rmw_write(self, plan: tuple, checkpoint: CheckpointStats,
+                   cores, cycle: int) -> bool:
+        """Cycle T+1 of a planned RMW: the synchronizer's write phase.
+
+        Writes the checkpoint word, credits the trace and checkpoint
+        counters, puts non-released check-out cores to sleep, latches
+        the release's wake-ups for the next cycle and notifies the
+        listeners with ``cycle``.  Retiring ``cores`` (PC, retire
+        counters) is the caller's.
+
+        :returns: True when the running set changes after this cycle —
+            cores went to sleep or a wake-up is latched.
+        """
+        machine = self._machine
+        trace = machine.trace
+        address, is_checkout, flags, count, woken = plan
+        n = len(cores)
+        coreids = tuple(sorted(core.coreid for core in cores))
+        trace.dm_bank_writes += 1
+        if is_checkout:
+            checkins: tuple = ()
+            checkouts = coreids
+            trace.sync_checkouts += n
+            checkpoint.checkouts += n
+        else:
+            checkins = coreids
+            checkouts = ()
+            trace.sync_checkins += n
+            checkpoint.checkins += n
+        if count > checkpoint.max_counter:
+            checkpoint.max_counter = count
+        changed = False
+        released = is_checkout and not count
+        if released:
+            # barrier release: wake every flagged sleeper (latched to
+            # the start of the next cycle) and reinitialize the word
+            machine.dm.words[address] = 0
+            trace.sync_wakeups += 1
+            checkpoint.wakeups += 1
+            all_cores = machine.cores
+            wake_next = machine._wake_next
+            for cid in woken:
+                if all_cores[cid].mode is CoreMode.SLEEPING:
+                    wake_next.add(cid)
+                    changed = True
+        else:
+            machine.dm.words[address] = pack_checkpoint(flags, count)
+            if is_checkout:
+                barrier_sleeper = machine._barrier_sleeper
+                for core in cores:
+                    core.mode = CoreMode.SLEEPING
+                    barrier_sleeper[core.coreid] = True
+                changed = True
+        listeners = machine.synchronizer.listeners
+        if listeners:
+            trace.cycles = cycle  # listeners see the real clock
+            completion = SyncCompletion(address, checkins, checkouts,
+                                        woken, released, count)
+            for listener in listeners:
+                listener(cycle, completion)
+        return changed
+
+    def _rmw_handoff(self, pending: tuple) -> None:
+        """Leave a burst between the two cycles of an RMW.
+
+        The read phase ran in the burst's last cycle; hand the write
+        phase to the reference exactly as ``Synchronizer.read_phase``
+        would have left it: a pending write, the word locked, and the
+        arriving cores waiting on their SINC/SDEC.
+        """
+        plan, _checkpoint, cores, ins = pending
+        address, is_checkout, _flags, _count, _woken = plan
+        machine = self._machine
+        coreids = sorted(core.coreid for core in cores)
+        mask = 0
+        if not is_checkout:
+            for cid in coreids:
+                mask |= 1 << cid
+        machine.synchronizer._pending_writes.append(_Rmw(
+            address, mask, coreids if is_checkout else [],
+            [] if is_checkout else coreids, machine.dm.words[address]))
+        machine.dxbar.lock(address)
+        outstanding = machine._outstanding
+        for cid in coreids:
+            outstanding[cid] = ("sync_wait", ins)
+        machine._outstanding_count += len(coreids)
+
+    # ------------------------------------------------------------------
 
     def _divergent_burst(self, running: list, limit: int) -> bool:
         """Serialize divergent running cores through I-Xbar arbitration.
@@ -939,24 +988,34 @@ class FastEngine:
         the winner without broadcast) fetches and executes, everyone
         else stalls, and the priority rotates past the winner.
 
-        Nothing inside the burst changes the running set (mode changes
-        deopt) or the IM bank (leaving it ends the burst), and every
-        committed cycle rotates the bank's priority to winner + 1.  The
-        winners therefore follow a **static schedule** — the running
-        cores round-robin in coreid order, starting at the first core
-        at or after the bank's priority — which the burst walks by
-        index, writing the priority back once at exit.  Broadcast
-        groups live in a pc -> cores index updated only for the cores
-        that moved.  A lone requester's LD/ST cannot lose its D-Xbar
-        bank and is served inline; a multi-core group's goes through
-        :meth:`_mem_cycle`.
+        The idle cores cannot change inside the burst, nor can the IM
+        bank (leaving it ends the burst), and every cycle that rotates
+        the bank's priority rotates it to winner + 1.  The winners
+        therefore follow a **static schedule** — the running cores
+        round-robin in coreid order, starting at the first core at or
+        after the bank's priority — which the burst walks by index,
+        writing the priority back once at exit.  Broadcast groups live
+        in a pc -> cores index; a group is re-keyed whole under its new
+        PC, and split per core only after a data-dependent branch.
+
+        A served group's LD/ST is served inline when it provably wins
+        its D-Xbar banks (a lone request always does; a group through
+        :func:`_mem_cycle`).  A served SINC/SDEC runs its merged RMW in
+        the burst: the read phase in its cycle T, the write phase in
+        T+1, while the I-Xbar serves the next winner among the *other*
+        cores (the arriving ones do not fetch at T+1, so the schedule
+        skips them, and the checkpoint's DM bank port is busy).  A
+        check-out that sleeps or a release that latches wake-ups ends
+        the burst after T+1; so does an IM bank change and, with
+        broadcast, reconvergence (the lockstep burst's regime).
 
         Deopts to ``step()`` — committing nothing for that cycle — when
-        the winner would stop/sync/fault, when a served memory pattern
-        may lose D-Xbar arbitration, and for the (never exercised by
-        the bundled kernels) multi-bank divergence case.  Exits cleanly
-        at the horizon or when broadcast cores re-converge, handing
-        back to the lockstep burst.
+        the winner would stop or fault, on a memory pattern that may
+        lose arbitration (including the busy bank at T+1), on an RMW
+        :meth:`_rmw_plan` refuses or the synchronizer would refuse, and
+        for the (never exercised by the bundled kernels) multi-bank
+        divergence case.  A burst that stops between an RMW's two
+        cycles hands the write phase over (:meth:`_rmw_handoff`).
 
         :returns: True if at least one cycle was consumed.
         """
@@ -965,27 +1024,32 @@ class FastEngine:
         decoded = machine._decoded
         config = machine.config
         im_len = len(decoded)
-        horizon = min(limit, self._next_event_cycle() - 1)
-        cycles = trace.cycles
-        if cycles >= horizon:
+        # the burst's last cycle; lowered to end it after the current one
+        end = min(limit, self._next_event_cycle() - 1)
+        start = cycles = trace.cycles
+        if cycles >= end:
             return False
         bank_words = config.im_bank_words
         bank = running[0].pc // bank_words
+        lo = bank * bank_words
+        hi = lo + bank_words
         for core in running:
-            if core.pc // bank_words != bank:
+            if not lo <= core.pc < hi:
                 self.stats.deopt_count += 1
                 return False
         ncores = config.num_cores
         n = len(running)
         # `running` is in coreid order: the first winner is the first
         # core at or after the bank's priority, wrapping to the lowest.
-        start = machine.ixbar._priority[bank]
+        priority = machine.ixbar._priority[bank]
         turn = 0
         for index, core in enumerate(running):
-            if core.coreid >= start:
+            if core.coreid >= priority:
                 turn = index
                 break
+        after = list(range(1, n)) + [0]       # the schedule's next turn
         groups: dict | None = None
+        singles: list | None = None
         if config.im_broadcast:
             groups = {}
             for core in running:
@@ -994,189 +1058,238 @@ class FastEngine:
                     groups[core.pc] = [core]
                 else:
                     group.append(core)
+        else:
+            singles = [[core] for core in running]
+        # Only the running cores change inside the burst, so the idle
+        # census holds for every cycle of it.
+        halted, sleeping, waiting = self._idle_census()
         dxbar = machine.dxbar
         mem_ok = not (dxbar.locked_addresses or dxbar._groups)
+        sync = machine.synchronizer
         words = machine.dm.words
         n_words = len(words)
         dm_priority = dxbar._priority
         interleaved = config.dm_interleaved
         nb = config.dm_banks
         bw = config.dm_bank_words
-        dm_reads = dm_writes = 0
-        served_total = 0
-        histogram = [0] * (n + 1)
+        dm_broadcast = config.dm_broadcast
+        dm_reads = dm_writes = dm_served = 0
+        calm = 0              # cycles without an I-Xbar conflict
+        arrivals = 0          # write-cycle activity of arriving cores
+        n_syncs = 0
+        histogram = [0] * (n + 1)   # multi-core groups; size 1 derived
         retired = [0] * ncores
+        # The RMW whose write phase is the next cycle:
+        # (plan, checkpoint stats, arriving cores, instruction), its
+        # cores' coreid bits (they skip that cycle's fetch) and DM bank.
+        pending: tuple | None = None
+        wmask = 0
+        busy = -1
+        plan = None
         deopt = False
-        while cycles < horizon:
-            winner = running[turn]
+        while cycles < end:
+            t = turn
+            winner = running[t]
+            if wmask:
+                while wmask >> winner.coreid & 1:
+                    t = after[t]
+                    winner = running[t]
             wpc = winner.pc
             if wpc >= im_len:
                 deopt = True          # let step() raise the fetch error
                 break
             if groups is None:
-                served = (winner,)
+                served = singles[t]
             else:
-                if len(groups) == 1:
+                if not wmask and len(groups) == 1:
                     break             # converged: lockstep burst's regime
                 served = groups[wpc]
-            ns = len(served)
             rec = decoded[wpc]
             kind = rec[0]
             if kind <= BURSTABLE:
-                run = rec[1]
-                for core in served:
-                    run(core)
+                if len(served) == 1:
+                    rec[1](winner)
+                else:
+                    run = rec[1]
+                    for core in served:
+                        run(core)
             elif kind == KIND_MEM and mem_ok:
-                if ns == 1:
-                    # A lone request always wins its D-Xbar bank.
+                if len(served) == 1:
+                    # A lone request always wins its D-Xbar bank —
+                    # unless the synchronizer's write holds the port.
                     is_write, rs, imm, rd = rec[1]
                     regs = winner.regs
                     addr = (regs[rs] + imm) & 0xFFFF
                     if addr >= n_words:
                         deopt = True  # out of range: step() faults
                         break
-                    dm_priority[addr % nb if interleaved else addr // bw] \
-                        = (winner.coreid + 1) % ncores
+                    dbank = addr % nb if interleaved else addr // bw
+                    if dbank == busy:
+                        deopt = True  # step() refuses it this cycle
+                        break
+                    dm_priority[dbank] = (winner.coreid + 1) % ncores
                     if is_write:
                         words[addr] = regs[rd] & 0xFFFF
                         dm_writes += 1
                     else:
                         regs[rd] = words[addr]
                         dm_reads += 1
+                    dm_served += 1
                     winner.pc = wpc + 1
-                elif not self._mem_cycle(served, rec[1]):
-                    deopt = True      # possible D-Xbar conflict
+                else:
+                    accesses = _mem_cycle(served, rec[1], words,
+                                          dm_priority, interleaved, nb, bw,
+                                          ncores, dm_broadcast, busy)
+                    if not accesses:
+                        deopt = True  # possible D-Xbar conflict
+                        break
+                    if rec[1][0]:
+                        dm_writes += accesses
+                    else:
+                        dm_reads += accesses
+                    dm_served += len(served)
+            elif kind == KIND_SYNC and sync is not None:
+                plan = self._rmw_plan(served, rec[2])
+                if plan is None or config.dm_bank_of(plan[0]) == busy:
+                    deopt = True      # step() refuses, raises or splits
                     break
             else:
-                deopt = True          # synchronizer / mode change
+                deopt = True          # mode change / no synchronizer
                 break
             # Commit the cycle: advance the schedule and re-index the
             # served cores under their new PCs.
             cycles += 1
-            served_total += ns
-            histogram[ns] += 1
-            turn += 1
-            if turn == n:
-                turn = 0
-            if groups is not None:
-                del groups[wpc]
-            moved = False
-            for core in served:
-                retired[core.coreid] += 1
-                pc = core.pc
+            ns = len(served)
+            if ns > 1:
+                histogram[ns] += 1
+            if not wmask:
+                turn = after[t]
+            else:
+                # the write cycle of the pending RMW: the I-Xbar's
+                # broadcast fast path neither rotates nor conflicts
+                # when one group is every fetcher
+                fetchers = n - len(pending[2])
+                if groups is None or ns != fetchers:
+                    turn = after[t]
+                if ns == fetchers:
+                    calm += 1
+            if plan is not None:
                 if groups is not None:
+                    del groups[wpc]   # held aside until the write phase
+            elif ns == 1:
+                retired[winner.coreid] += 1
+                pc = winner.pc
+                if groups is not None:
+                    del groups[wpc]
                     group = groups.get(pc)
                     if group is None:
-                        groups[pc] = [core]
+                        groups[pc] = served
                     else:
-                        group.append(core)
-                if pc // bank_words != bank:
-                    moved = True
-            if moved:
-                break                 # next fetch is in another bank
+                        group.append(winner)
+                if not lo <= pc < hi:
+                    end = cycles      # next fetch is in another bank
+            else:
+                del groups[wpc]
+                for core in served:
+                    retired[core.coreid] += 1
+                if kind == KIND_DIVERGE:
+                    # a data-dependent branch may split the group
+                    for core in served:
+                        pc = core.pc
+                        group = groups.get(pc)
+                        if group is None:
+                            groups[pc] = [core]
+                        else:
+                            group.append(core)
+                        if not lo <= pc < hi:
+                            end = cycles
+                else:
+                    # the group moved as one: re-key it whole
+                    pc = winner.pc
+                    group = groups.get(pc)
+                    if group is None:
+                        groups[pc] = served
+                    else:
+                        group.extend(served)
+                    if not lo <= pc < hi:
+                        end = cycles
+            if wmask:
+                # -- T+1 of the pending RMW: write phase and retire ----
+                arrived = pending[2]
+                if self._rmw_write(pending[0], pending[1], arrived,
+                                   cycles):
+                    end = cycles      # the running set changes
+                elif groups is not None:
+                    group = groups.get(arrived[0].pc + 1)
+                    if group is None:
+                        groups[arrived[0].pc + 1] = arrived
+                    else:
+                        group.extend(arrived)
+                pc = arrived[0].pc + 1
+                for core in arrived:
+                    core.pc = pc
+                    retired[core.coreid] += 1
+                if not lo <= pc < hi:
+                    end = cycles
+                arrivals += len(arrived)
+                n_syncs += 1
+                pending = None
+                wmask = 0
+                busy = -1
+            if plan is not None:
+                # -- T of a new RMW: read phase; the cores wait --------
+                pending = (plan, self._rmw_read(plan[0]), served, rec[2])
+                for core in served:
+                    wmask |= 1 << core.coreid
+                busy = config.dm_bank_of(plan[0])
+                plan = None
         if deopt:
             self.stats.deopt_count += 1
-        executed = cycles - trace.cycles
+        if pending is not None:
+            self._rmw_handoff(pending)
+        executed = cycles - start
         if not executed:
             return False
 
         machine.ixbar._priority[bank] = \
             (running[turn - 1].coreid + 1) % ncores
-        halted, sleeping, waiting = self._idle_census()
+        histogram[1] = executed - sum(histogram)
+        fetched = 0
+        for size, count in enumerate(histogram):
+            fetched += size * count
+        active = fetched + arrivals
         trace.cycles = cycles
-        trace.core_active_cycles += served_total
-        trace.core_stall_cycles += executed * n - served_total
-        trace.retired_ops += served_total
+        trace.core_active_cycles += active
+        trace.core_stall_cycles += executed * n - active
         retired_per_core = trace.retired_per_core
+        retired_ops = 0
         for cid, count in enumerate(retired):
             if count:
                 retired_per_core[cid] += count
+                retired_ops += count
+        trace.retired_ops += retired_ops
         trace.im_bank_accesses += executed
-        trace.im_fetches_served += served_total
-        # n >= 2 and the group never spans every running core (that is
-        # convergence), so every divergent cycle stalls someone
-        trace.im_conflict_cycles += executed
+        trace.im_fetches_served += fetched
+        trace.im_conflict_cycles += executed - calm
         trace_histogram = trace.lockstep_histogram
         for size, count in enumerate(histogram):
             if count:
                 trace_histogram[size] = trace_histogram.get(size, 0) + count
-        if dm_reads or dm_writes:
+        if dm_served:
             trace.dm_bank_reads += dm_reads
             trace.dm_bank_writes += dm_writes
-            trace.dm_served += dm_reads + dm_writes
+            trace.dm_served += dm_served
         if halted:
             trace.core_halted_cycles += executed * halted
         if sleeping:
             trace.core_sleep_cycles += executed * sleeping
         if waiting:
             trace.sync_wait_cycles += executed * waiting
-        self.stats.divergent_bursts += 1
-        self.stats.divergent_cycles += executed
+        stats = self.stats
+        stats.divergent_bursts += 1
+        stats.divergent_cycles += executed
+        stats.sync_fused_rmws += n_syncs
         machine._quiet = False
-        return True
-
-    def _mem_cycle(self, running: list, info: tuple) -> bool:
-        """Serve one lockstep LD/ST cycle inline when it provably wins.
-
-        Handles the two request patterns that cannot lose D-Xbar
-        arbitration: every core hitting a distinct bank (the SPMD
-        private-buffer pattern) and every core reading one shared
-        address (one broadcast bank read serves all).  Reproduces the
-        counter updates, round-robin priority rotation and serve order
-        of ``DataCrossbar._serve_bank`` exactly.  Returns False —
-        leaving all state untouched — on any other pattern (or any
-        out-of-range address), so the reference ``step()`` arbitrates
-        the conflict or raises the fault.
-        """
-        machine = self._machine
-        config = machine.config
-        is_write, rs, imm, rd = info
-        words = machine.dm.words
-        addrs = [(core.regs[rs] + imm) & 0xFFFF for core in running]
-        if max(addrs) >= len(words):
-            return False    # out of range: let the reference step fault
-        if config.dm_interleaved:
-            nb = config.dm_banks
-            bankl = [addr % nb for addr in addrs]
-        else:
-            bank_words = config.dm_bank_words
-            bankl = [addr // bank_words for addr in addrs]
-
-        n = len(running)
-        trace = machine.trace
-        priority = machine.dxbar._priority
-        ncores = config.num_cores
-        if len(set(bankl)) != n:
-            if is_write or not config.dm_broadcast:
-                return False
-            addr = addrs[0]
-            for other in addrs:
-                if other != addr:
-                    return False
-            bank = bankl[0]
-            winner = min((core.coreid for core in running),
-                         key=lambda cid: (cid - priority[bank]) % ncores)
-            priority[bank] = (winner + 1) % ncores
-            value = words[addr]
-            trace.dm_bank_reads += 1
-            for core in running:
-                core.regs[rd] = value
-                core.pc += 1
-            trace.dm_served += n
-            return True
-        if is_write:
-            for core, addr, bank in zip(running, addrs, bankl):
-                priority[bank] = (core.coreid + 1) % ncores
-                words[addr] = core.regs[rd] & 0xFFFF
-                core.pc += 1
-            trace.dm_bank_writes += n
-        else:
-            for core, addr, bank in zip(running, addrs, bankl):
-                priority[bank] = (core.coreid + 1) % ncores
-                core.regs[rd] = words[addr]
-                core.pc += 1
-            trace.dm_bank_reads += n
-        trace.dm_served += n
         return True
 
     def _sleep_fast_forward(self, limit: int) -> bool:
@@ -1225,3 +1338,75 @@ class FastEngine:
         self.stats.sleep_cycles += skipped
         machine._quiet = True
         return True
+
+
+def _mem_cycle(cores, info: tuple, words: list, priority: list,
+               interleaved: bool, nb: int, bw: int, ncores: int,
+               broadcast: bool, busy: int = -1) -> int:
+    """Serve one LD/ST cycle of a core group inline when it provably wins.
+
+    Handles the two request patterns that cannot lose D-Xbar
+    arbitration: every core hitting a distinct bank (the SPMD
+    private-buffer pattern) and every core reading one shared address
+    (one broadcast bank read serves all).  Reproduces the round-robin
+    priority rotation and serve order of ``DataCrossbar._serve_bank``
+    exactly; the caller binds the D-Xbar geometry once per burst and
+    credits the counters.
+
+    :param busy: the DM bank whose port the synchronizer's write phase
+        holds this cycle (-1: none); a request to it is refused.
+    :returns: the bank accesses made — reads or writes as ``info``
+        says; every core counts as served — or 0, leaving all state
+        untouched, on any other pattern, an out-of-range address or the
+        busy bank, so the reference ``step()`` arbitrates the conflict
+        or raises the fault.
+    """
+    is_write, rs, imm, rd = info
+    n_words = len(words)
+    addrs = []
+    used = 0                # bank bitmask
+    for core in cores:
+        addr = (core.regs[rs] + imm) & 0xFFFF
+        if addr >= n_words:
+            return 0        # out of range: let the reference step fault
+        bit = 1 << (addr % nb if interleaved else addr // bw)
+        if used & bit:
+            break
+        used |= bit
+        addrs.append(addr)
+    else:
+        # pairwise-distinct banks: every core wins its own
+        if busy >= 0 and used >> busy & 1:
+            return 0
+        if is_write:
+            for core, addr in zip(cores, addrs):
+                priority[addr % nb if interleaved else addr // bw] = \
+                    (core.coreid + 1) % ncores
+                words[addr] = core.regs[rd] & 0xFFFF
+                core.pc += 1
+        else:
+            for core, addr in zip(cores, addrs):
+                priority[addr % nb if interleaved else addr // bw] = \
+                    (core.coreid + 1) % ncores
+                core.regs[rd] = words[addr]
+                core.pc += 1
+        return len(cores)
+    # a shared bank: only one broadcast read address can win it whole
+    if is_write or not broadcast:
+        return 0
+    addr = addrs[0]
+    for core in cores:
+        if (core.regs[rs] + imm) & 0xFFFF != addr:
+            return 0
+    bank = addr % nb if interleaved else addr // bw
+    if bank == busy:
+        return 0
+    base = priority[bank]
+    winner = min((core.coreid for core in cores),
+                 key=lambda cid: (cid - base) % ncores)
+    priority[bank] = (winner + 1) % ncores
+    value = words[addr]
+    for core in cores:
+        core.regs[rd] = value
+        core.pc += 1
+    return 1

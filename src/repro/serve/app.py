@@ -383,14 +383,21 @@ class SweepService:
     def _execute_job(self, job: Job) -> None:
         job.status = RUNNING
         job.started = time.time()
-        jctx = job.span.context
-        recorder = job.recorder
         emit("job.start", trace_id=job.trace_id, job_id=job.id,
              runs=len(job.spec))
+        writer = SweepManifestWriter(job.directory, name=job.spec.name)
+        try:
+            self._sweep(job, writer)
+        finally:
+            writer.close()           # a failed job never finalizes
+
+    def _sweep(self, job: Job, writer: SweepManifestWriter) -> None:
+        """Claim, execute and follow the job's runs; finalize ``writer``."""
+        jctx = job.span.context
+        recorder = job.recorder
         metrics = SweepMetrics(total=len(job.spec))
         requests = list(job.spec.requests)
         digests = [request_digest(request) for request in requests]
-        writer = SweepManifestWriter(job.directory, name=job.spec.name)
         observer = _ExecObserver(job, jctx)
 
         # claim each unique digest once, preserving first-seen order

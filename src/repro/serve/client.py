@@ -140,15 +140,28 @@ class ServeClient:
         """The job's span tree (Perfetto trace-event JSON)."""
         return self._request("GET", f"/v1/sweeps/{job_id}/trace")
 
-    def events(self, job_id: str):
+    def events(self, job_id: str, *, timeout: float | None = None):
         """Stream the job's run rows as parsed dicts, live.
 
         Yields one dict per ``runs.jsonl`` row as the server writes it,
         then the terminal ``{"event": "end", "status": ...}`` marker.
         The generator owns its connection; closing it mid-stream is
         fine.
+
+        :param timeout: overall seconds for the whole stream; ``None``
+            sets no overall bound (each read keeps the per-call socket
+            timeout).
+        :raises TimeoutError: the stream has not ended after
+            ``timeout`` seconds.
         """
-        return self._events(job_id, deadline=None)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            yield from self._events(job_id, deadline=deadline)
+        except TimeoutError:
+            if deadline is None:
+                raise             # a per-call socket timeout
+            raise TimeoutError(
+                f"job {job_id} not finished after {timeout}s") from None
 
     def _events(self, job_id: str, *, deadline: float | None):
         connection = self._connect()
@@ -186,14 +199,9 @@ class ServeClient:
         :raises TimeoutError: the job is not terminal after ``timeout``
             seconds.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            for event in self._events(job_id, deadline=deadline):
-                if event.get("event") == "end":
-                    break
-        except TimeoutError:
-            raise TimeoutError(
-                f"job {job_id} not finished after {timeout}s") from None
+        for event in self.events(job_id, timeout=timeout):
+            if event.get("event") == "end":
+                break
         return self.job(job_id)
 
     def run_payload(self, digest: str) -> dict | None:

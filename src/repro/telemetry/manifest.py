@@ -150,6 +150,11 @@ class SweepManifestWriter:
         self._rows += 1
         return row
 
+    def close(self) -> None:
+        """Close ``runs.jsonl`` (idempotent); :meth:`finalize` calls it,
+        and a caller whose sweep fails before finalizing must."""
+        self._handle.close()
+
     def finalize(self, *, metrics=None, cache=None, spec=None,
                  profile=None, trace_id=None) -> Path:
         """Write ``manifest.json`` atomically; returns its path.
@@ -160,7 +165,7 @@ class SweepManifestWriter:
             manifest on disk can be joined back to its span tree and
             log lines.
         """
-        self._handle.close()
+        self.close()
         rows = _read_jsonl(self.runs_path)
         telemetry = [row["telemetry"] for row in rows if row.get("telemetry")]
         tiers: dict[str, int] = {}

@@ -7,8 +7,9 @@ finish, each machine must be in bit-identical state — every
 flag, PC and mode of every core, every data-memory word — to its twin
 that never entered a batch.
 
-Coverage: same-image batches with divergent inputs on all three kernels
-and four designs, mixed ``n_samples`` (input-dependent group splits),
+Coverage: same-image batches with divergent inputs (ramps and seeded
+ECG families) on all three kernels and four designs, mixed
+``n_samples`` (input-dependent group splits),
 cross-run divergent memory addresses, per-core divergence and sync
 boundaries (peel-out), cycle-limit horizons, machines with pending IRQs
 (refused at entry), and NumPy-unavailable degradation.
@@ -17,6 +18,7 @@ boundaries (peel-out), cycle-limit horizons, machines with pending IRQs
 import pytest
 
 from repro.cpu import vec
+from repro.dsp.ecg import EcgConfig, generate_ecg
 from repro.kernels.layout import BANK_WORDS
 from repro.kernels.suite import (
     DESIGNS,
@@ -40,6 +42,17 @@ def channels(n_samples, num_cores=8, salt=0):
     return [[(1000 + 37 * core + 13 * i + salt) % 4096
              for i in range(n_samples)]
             for core in range(num_cores)]
+
+
+#: ECG families stay tier-1-sized at this window
+ECG_SAMPLES = 8
+
+
+def ecg_channels(n_samples, seed):
+    """Seeded 8-lead ECG, the input ``resolve_channels`` gives sweeps."""
+    recording = generate_ecg(n_channels=8, n_samples=n_samples,
+                             config=EcgConfig(seed=seed))
+    return [recording.channel(core) for core in range(8)]
 
 
 def machine_state(machine: Machine) -> dict:
@@ -91,6 +104,27 @@ class TestKernelDifferential:
             assert_equivalent(b.machine, s.machine)
         assert stats.batched == 5
         assert stats.families == 1
+
+    @pytest.mark.parametrize("design_name", ("with-sync", "without-sync"))
+    @pytest.mark.parametrize("bench", ("MRPFLTR", "MRPDLN", "SQRT32"))
+    def test_ecg_family_peels_and_matches_serial(self, bench, design_name):
+        # seeded ECG families, as sweeps batch them: the leads pull the
+        # cores apart on the kernels' data-dependent branches, every run
+        # peels, and the scalar engine's divergent bursts (barrier
+        # arrivals included) finish it bit-exactly
+        inputs = [ecg_channels(ECG_SAMPLES, seed)
+                  for seed in (2013, 7, 99, 4242)]
+        serial, batched, stats = run_family(bench, design_name, inputs)
+        for s, b in zip(serial, batched):
+            assert s.outputs == b.outputs
+            assert_equivalent(b.machine, s.machine)
+        assert stats.batched == 4
+        assert stats.early_peels == 4
+        for run in batched:
+            engine = run.machine.engine_stats
+            assert engine.peel_count == 1
+            assert engine.vector_cycles > 0
+            assert engine.divergent_cycles > 0
 
     def test_lockstep_kernel_vectorizes_to_completion(self):
         inputs = [channels(N_SAMPLES, salt=salt) for salt in range(4)]

@@ -434,3 +434,50 @@ def test_client_cli_reports_unreachable_server():
 
     assert cli.main(["client", "--server", "http://127.0.0.1:9",
                      "--quick", "--benchmarks", "SQRT32"]) == 2
+
+
+def test_client_cli_streams_the_events_once(served, monkeypatch, capsys):
+    from repro import cli
+
+    streams = []
+    events = ServeClient._events
+
+    def counted(self, job_id, *, deadline):
+        streams.append(job_id)
+        return events(self, job_id, deadline=deadline)
+
+    monkeypatch.setattr(ServeClient, "_events", counted)
+    assert cli.main(["client", "--server", served.handle.base_url,
+                     "--quick", "--benchmarks", "SQRT32",
+                     "--designs", "with-sync", "--seed", "4242",
+                     "--timeout", "60"]) == 0
+    out = capsys.readouterr().out
+    assert "[1/1] run " in out and " done: 1 runs" in out
+    # the progress stream is read once; the final resource is one GET
+    assert len(streams) == 1
+
+
+def test_failed_job_closes_its_runs_file(tmp_path, monkeypatch):
+    from repro.serve import app
+
+    writers = []
+
+    class Recorded(app.SweepManifestWriter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            writers.append(self)
+
+    def crash(requests, manifest=None, observer=None, trace_id=None):
+        raise RuntimeError("executor died")
+
+    monkeypatch.setattr(app, "SweepManifestWriter", Recorded)
+    service = SweepService(state_dir=tmp_path / "state", concurrency=1)
+    service.executor.run = crash
+    with service:
+        job = service.submit(spec_for(seed=5150))
+        wait_for(lambda: job.status == "failed")
+    assert "executor died" in job.error
+    (writer,) = writers
+    # the job never finalized, yet its runs.jsonl handle is closed
+    assert writer._handle.closed
+    assert not writer.manifest_path.exists()
